@@ -16,16 +16,22 @@
 //!               "spec_mismatches": 0, "spec_rebuilds": 0,
 //!               "sched_calls": 9, "sched_stale": 3,
 //!               "host_secs": 0.5, "insts_per_sec": 4.0,
-//!               "ns_per_inst": 250000000.0 }, ... ],
+//!               "ns_per_inst": 250000000.0,
+//!               "ns_per_gated_op": 500000000.0 }, ... ],
 //!   "workers": [ { "worker": 0, "jobs_run": 3, "busy_secs": 1.2,
 //!                  "utilization": 0.58 }, ... ]
 //! }
 //! ```
 //!
 //! `gated_ops` counts the shared-memory operations admitted through the
-//! simulator's scheduler gate and `ns_per_inst` is host nanoseconds per
-//! simulated instruction — both scheduler-overhead observability, not
-//! paper metrics. The `spec_*` counters are the speculative scheduler's
+//! simulator's scheduler gate; `ns_per_inst` and `ns_per_gated_op` are
+//! host nanoseconds per simulated instruction and per gated op — all
+//! scheduler-overhead observability, not paper metrics. Lock-heavy modes
+//! run more gated ops per instruction, so `ns_per_gated_op` is the fairer
+//! per-operation cost across modes. For runs made through
+//! `PreparedWorkload::run_cfg` (all but `profile`, which keeps its
+//! machine), `host_secs` spans machine construction through teardown.
+//! The `spec_*` counters are the speculative scheduler's
 //! mis-speculation accounting (all zeros under the other schedulers), and
 //! `workers` reports per-worker utilization of the harness job pool
 //! (busy_secs over wall time) for runs routed through [`Report::pool`].
@@ -79,6 +85,15 @@ impl RunRecord {
     pub fn ns_per_inst(&self) -> f64 {
         if self.sim_insts > 0 {
             self.host_secs * 1e9 / self.sim_insts as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Host nanoseconds spent per gated shared-memory operation.
+    pub fn ns_per_gated_op(&self) -> f64 {
+        if self.gated_ops > 0 {
+            self.host_secs * 1e9 / self.gated_ops as f64
         } else {
             0.0
         }
@@ -275,7 +290,7 @@ impl Report {
                  \"spec_mismatches\": {}, \"spec_rebuilds\": {}, \
                  \"sched_calls\": {}, \"sched_stale\": {}, {lat}\
                  \"host_secs\": {:.6}, \"insts_per_sec\": {:.1}, \
-                 \"ns_per_inst\": {:.2} }}{}\n",
+                 \"ns_per_inst\": {:.2}, \"ns_per_gated_op\": {:.2} }}{}\n",
                 json_str(r.workload),
                 json_str(r.mode),
                 r.threads,
@@ -291,6 +306,7 @@ impl Report {
                 r.host_secs,
                 r.insts_per_sec(),
                 r.ns_per_inst(),
+                r.ns_per_gated_op(),
                 if i + 1 < recs.len() { "," } else { "" },
             ));
         }
@@ -473,6 +489,8 @@ mod tests {
         assert_eq!(j.matches("\"lat_count\"").count(), 1);
         // ns_per_inst for zeta: 2.0 s * 1e9 / 20 = 1e8
         assert!(j.contains("\"ns_per_inst\": 100000000.00"));
+        // ns_per_gated_op for zeta: 2.0 s * 1e9 / 7
+        assert!(j.contains("\"ns_per_gated_op\": 285714285.71"));
         assert!(j.contains("\"workers\": ["));
     }
 

@@ -1,5 +1,7 @@
 //! Machine configuration — the reproduction of the paper's Table 2.
 
+use crate::addr::WORDS_PER_LINE;
+
 /// HTM conflict-resolution protocol (paper Section 7 taxonomy).
 ///
 /// The paper evaluates on an eager requester-wins design and names lazy
@@ -464,7 +466,16 @@ impl MachineConfig {
         }
         match key {
             "n_cores" => self.n_cores = num(key, value)?,
-            "mem_words" => self.mem_words = num(key, value)?,
+            "mem_words" => {
+                let words: usize = num(key, value)?;
+                if words == 0 || !words.is_multiple_of(WORDS_PER_LINE as usize) {
+                    return Err(format!(
+                        "machine.mem_words: '{value}' is not a positive multiple of \
+                         {WORDS_PER_LINE} words (one cache line)"
+                    ));
+                }
+                self.mem_words = words;
+            }
             "l1_latency" => self.l1_latency = num(key, value)?,
             "l2_latency" => self.l2_latency = num(key, value)?,
             "l3_latency" => self.l3_latency = num(key, value)?,
@@ -634,6 +645,18 @@ mod tests {
             c.set_kv("spec_quantum", "16").is_err(),
             "spec_quantum is host-only and must not enter run keys"
         );
+    }
+
+    #[test]
+    fn kv_rejects_partial_line_memory() {
+        let mut c = MachineConfig::default();
+        for bad in ["0", "7", "4097", "262145"] {
+            let err = c.set_kv("mem_words", bad).unwrap_err();
+            assert!(err.contains("multiple of 8 words"), "{bad}: {err}");
+        }
+        assert_eq!(c.mem_words, MachineConfig::default().mem_words, "unchanged");
+        c.set_kv("mem_words", "4096").unwrap();
+        assert_eq!(c.mem_words, 4096);
     }
 
     #[test]

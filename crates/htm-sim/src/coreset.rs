@@ -1,19 +1,24 @@
 //! Fixed-capacity multi-word core bitset.
 //!
-//! The ownership directory ([`crate::sim::Owners`]) tracks which cores hold
-//! a cache line speculatively. With a single `u32` mask the machine was
-//! structurally capped at 32 cores (`1 << tid` overflows beyond core 31);
-//! [`CoreSet`] widens that to [`MAX_CORES`] while keeping the properties the
-//! hot paths rely on:
+//! The line directory ([`crate::directory`]) keeps three of these per
+//! line: the cores holding it speculatively as readers and as writers
+//! ([`crate::directory::Owners`]), and `cached`, the cores holding it in
+//! their L1 or L2. With a single `u32` mask the machine was structurally
+//! capped at 32 cores (`1 << tid` overflows beyond core 31); [`CoreSet`]
+//! widens that to [`MAX_CORES`] while keeping the properties the hot
+//! paths rely on:
 //!
 //! * `Copy` + cheap equality — the speculative overlay
 //!   ([`crate::spec`]) stores `Owners` *by value* in its touched-line map.
 //! * Ascending-id iteration via per-word `trailing_zeros` — the eager
 //!   requester-wins victim walk dooms cores in ascending id order, and that
-//!   order is part of the simulator's bit-identical contract.
+//!   order is part of the simulator's bit-identical contract. Write
+//!   invalidation walks `cached` the same way, visiting sharers only.
 //! * A single-word fast path: when `n_cores <= 64` only word 0 can ever be
 //!   nonzero, so [`CoreSet::iter`] checks the upper words once and then
 //!   scans one word, matching the old u32 loop's cost.
+//! * An all-zero empty set ([`CoreSet::EMPTY`]), so an unallocated
+//!   directory page reads as "no owners, cached nowhere".
 
 /// Hard upper bound on simulated cores; one [`CoreSet`] word per 64 ids.
 pub const MAX_CORES: usize = 256;
@@ -25,6 +30,9 @@ const WORDS: usize = MAX_CORES / 64;
 pub(crate) struct CoreSet([u64; WORDS]);
 
 impl CoreSet {
+    /// The set with no members.
+    pub(crate) const EMPTY: CoreSet = CoreSet([0; WORDS]);
+
     #[inline]
     pub(crate) fn insert(&mut self, id: usize) {
         debug_assert!(id < MAX_CORES);
@@ -44,9 +52,15 @@ impl CoreSet {
     }
 
     #[inline]
-    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.0 == [0; WORDS]
+    }
+
+    /// This set minus `id`.
+    #[inline]
+    pub(crate) fn without(mut self, id: usize) -> CoreSet {
+        self.remove(id);
+        self
     }
 
     /// Set union — `readers | writers` in the conflict walk.

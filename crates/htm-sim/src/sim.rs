@@ -10,6 +10,7 @@ use crate::addr::{line_of, word_index, Addr, LINE_BYTES, WORD_BYTES};
 use crate::cache::CacheArray;
 use crate::config::{FallbackPolicy, HtmProtocol, MachineConfig};
 use crate::coreset::{CoreSet, MAX_CORES};
+use crate::directory::{LineDirectory, Owners};
 use crate::obs::{EventRing, ObsEvent, ObsKind};
 use crate::sched::{LazyMinHeap, SchedStats};
 use crate::stats::CoreStats;
@@ -290,34 +291,16 @@ pub(crate) struct CoreState {
     pub events: EventRing,
 }
 
-/// Speculative ownership of one line across cores. Under the eager
-/// protocol at most one writer exists at a time; under the lazy protocol
-/// multiple buffered writers may coexist until one commits. The member
-/// masks are [`CoreSet`]s, so up to [`MAX_CORES`] cores can hold a line.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Owners {
-    pub(crate) readers: CoreSet,
-    pub(crate) writers: CoreSet,
-}
-
-impl Owners {
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.readers.is_empty() && self.writers.is_empty()
-    }
-}
-
 /// Everything under the machine mutex.
 pub(crate) struct SimState {
     pub cfg: MachineConfig,
     pub(crate) mem: Vec<u64>,
     pub(crate) l3: CacheArray,
     pub cores: Vec<CoreState>,
-    /// Speculative-ownership directory, indexed densely by line index
-    /// (`addr / LINE_BYTES`). One entry per line of simulated memory: the
-    /// conflict check on every transactional access is two array words,
-    /// not a hash probe.
-    pub(crate) owners: Vec<Owners>,
+    /// Paged line directory, indexed by line index (`addr / LINE_BYTES`):
+    /// speculative owners for the conflict check, and the cores caching
+    /// each line for the cache-to-cache test and write invalidation.
+    pub(crate) dir: LineDirectory,
     pub(crate) heap_next: Addr,
     /// Derived from `cfg.perm_cache_lines`: direct-mapped permission-cache
     /// slot count (rounded up to a power of two; 0 = fast path disabled).
@@ -353,6 +336,11 @@ impl SimState {
             "n_cores must be in 1..={MAX_CORES}, got {}",
             cfg.n_cores
         );
+        assert!(
+            cfg.mem_words > 0 && cfg.mem_words.is_multiple_of(WORDS_PER_LINE as usize),
+            "mem_words must be a positive multiple of {WORDS_PER_LINE} (one cache line), got {}",
+            cfg.mem_words
+        );
         let cores = (0..cfg.n_cores)
             .map(|_| CoreState {
                 clock: 0,
@@ -374,7 +362,7 @@ impl SimState {
             mem: vec![0; cfg.mem_words],
             l3: CacheArray::new(cfg.l3_sets, cfg.l3_ways),
             cores,
-            owners: vec![Owners::default(); cfg.mem_words / WORDS_PER_LINE as usize],
+            dir: LineDirectory::new(cfg.mem_words / WORDS_PER_LINE as usize),
             heap_next: HEAP_BASE,
             perm_slots: if cfg.perm_cache_lines == 0 {
                 0
@@ -446,27 +434,22 @@ impl SimState {
         self.mem[i] = val;
     }
 
-    /// Ownership-directory entry of `line` (panics on out-of-range
-    /// addresses, matching `read_word`/`write_word`).
+    /// Speculative owners of `line` (panics on out-of-range addresses,
+    /// matching `read_word`/`write_word`).
     fn owner_mut(&mut self, line: u64) -> &mut Owners {
-        let i = line as usize;
-        assert!(
-            i < self.owners.len(),
-            "simulated address {:#x} out of range",
-            line * LINE_BYTES
-        );
-        &mut self.owners[i]
+        &mut self.dir.get_mut(line).owners
     }
 
     /// True when no line has a speculative owner (test aid).
     #[cfg(test)]
     fn owners_empty(&self) -> bool {
-        self.owners.iter().all(|o| o.is_empty())
+        self.dir.owners_empty()
     }
 
     /// Charge cache latency for `tid` touching `line`. If `speculative`,
     /// the line must be insertable into the L1 without evicting a pinned
-    /// (speculative) way; failure is a capacity overflow.
+    /// (speculative) way; failure is a capacity overflow. Keeps the line's
+    /// `cached` set, and those of any evicted lines, exact.
     ///
     /// (The cache-to-cache and L3 arms charge the same latency on purpose —
     /// they differ in the `touch` side effect, so they must not be merged.)
@@ -484,12 +467,7 @@ impl SimState {
         // Miss: find the source.
         let lat = if self.cores[tid].l2.touch(line) {
             cfg_l2
-        } else if self
-            .cores
-            .iter()
-            .enumerate()
-            .any(|(i, c)| i != tid && (c.l1.contains(line) || c.l2.contains(line)))
-        {
+        } else if !self.dir.get(line).cached.without(tid).is_empty() {
             cfg_l3 // cache-to-cache transfer, charged at L3 cost
         } else if self.l3.touch(line) {
             cfg_l3
@@ -499,30 +477,55 @@ impl SimState {
         // Fill path: L1 (respecting speculative pinning), L2, L3.
         let core = &mut self.cores[tid];
         let spec_pred = |l: u64| core.tx.as_ref().is_some_and(|t| t.spec_contains(l));
-        match core.l1.insert(line, spec_pred) {
-            Ok(_) => {}
+        let l1_victim = match core.l1.insert(line, spec_pred) {
+            Ok(victim) => victim,
             Err(()) => {
                 if speculative {
                     return Err(()); // capacity overflow
                 }
                 // Nontransactional access to a set full of speculative
                 // lines: bypass the L1.
+                None
+            }
+        };
+        let l2_victim = core.l2.insert(line, |_| false).ok().flatten();
+        let _ = self.l3.insert(line, |_| false);
+        if core.l1.contains(line) || core.l2.contains(line) {
+            self.dir.get_mut(line).cached.insert(tid);
+        }
+        // A line evicted from one private level stays cached while the
+        // other level still holds it.
+        for victim in [l1_victim, l2_victim].into_iter().flatten() {
+            let core = &self.cores[tid];
+            if !core.l1.contains(victim) && !core.l2.contains(victim) {
+                self.dir.get_mut(victim).cached.remove(tid);
             }
         }
-        let _ = core.l2.insert(line, |_| false);
-        let _ = self.l3.insert(line, |_| false);
         Ok(lat)
     }
 
     /// Invalidate `line` in every core except `tid` (a write took exclusive
-    /// ownership).
+    /// ownership). Visits only the line's sharers.
     fn invalidate_others(&mut self, tid: usize, line: u64) {
-        for (i, c) in self.cores.iter_mut().enumerate() {
-            if i != tid {
-                c.l1.remove(line);
-                c.l2.remove(line);
-            }
+        let cached = &mut self.dir.get_mut(line).cached;
+        let sharers = cached.without(tid);
+        let keep = cached.contains(tid);
+        *cached = CoreSet::EMPTY;
+        if keep {
+            cached.insert(tid);
         }
+        for c in sharers.iter() {
+            self.cores[c].l1.remove(line);
+            self.cores[c].l2.remove(line);
+        }
+    }
+
+    /// Drop `line` from `tid`'s L1 and L2 (a rolled-back speculative
+    /// write leaves the core's copy stale).
+    fn evict_own(&mut self, tid: usize, line: u64) {
+        self.cores[tid].l1.remove(line);
+        self.cores[tid].l2.remove(line);
+        self.dir.get_mut(line).cached.remove(tid);
     }
 
     // ----- transactional machinery ---------------------------------------
@@ -601,8 +604,7 @@ impl SimState {
         // stale after rollback: invalidate them, so the retry pays refill
         // latency (a real component of abort cost on eager HTM).
         for e in lines.iter().filter(|e| e.written) {
-            self.cores[victim].l1.remove(e.line);
-            self.cores[victim].l2.remove(e.line);
+            self.evict_own(victim, e.line);
         }
         self.release_ownership(victim, &lines);
         // Hand the buffers back to the doomed transaction so the core's
@@ -617,7 +619,7 @@ impl SimState {
 
     fn release_ownership(&mut self, tid: usize, lines: &[TxLine]) {
         for e in lines {
-            let o = &mut self.owners[e.line as usize];
+            let o = self.owner_mut(e.line);
             o.readers.remove(tid);
             o.writers.remove(tid);
         }
@@ -629,9 +631,7 @@ impl SimState {
     /// conflict attribution.
     fn resolve_conflicts(&mut self, tid: usize, addr: Addr, is_write: bool, req_pc: u64) {
         let line = line_of(addr);
-        let Some(o) = self.owners.get(line as usize).copied() else {
-            return;
-        };
+        let o = self.dir.get(line).owners;
         let mut mask = o.writers;
         if is_write {
             mask = mask.union(o.readers);
@@ -739,8 +739,8 @@ impl SimState {
         };
         if let Some(buffered) = fast {
             debug_assert!(
-                self.owners[line as usize].readers.contains(tid)
-                    || self.owners[line as usize].writers.contains(tid),
+                self.dir.get(line).owners.readers.contains(tid)
+                    || self.dir.get(line).owners.writers.contains(tid),
                 "cached permission without an ownership bit"
             );
             return (
@@ -807,7 +807,7 @@ impl SimState {
         };
         if fast {
             debug_assert!(
-                self.owners[line as usize].writers.contains(tid),
+                self.dir.get(line).owners.writers.contains(tid),
                 "cached write permission without the writer bit"
             );
             if eager {
@@ -871,8 +871,7 @@ impl SimState {
                 self.write_word(addr, old);
             }
             for e in tx.lines.iter().filter(|e| e.written) {
-                self.cores[tid].l1.remove(e.line);
-                self.cores[tid].l2.remove(e.line);
+                self.evict_own(tid, e.line);
             }
             self.release_ownership(tid, &tx.lines);
         }
@@ -1371,6 +1370,201 @@ mod tests {
         let mut cfg = MachineConfig::cores(1).small();
         cfg.set_kv("n_cores", &(MAX_CORES + 1).to_string()).unwrap();
         let _ = SimState::new(cfg);
+    }
+
+    #[test]
+    fn default_machine_allocates_no_directory_pages() {
+        let s = SimState::new(MachineConfig::default());
+        assert_eq!(s.dir.pages_allocated(), 0);
+    }
+
+    #[test]
+    fn last_line_of_memory_is_usable() {
+        let mut s = state(2);
+        let last = (s.cfg.mem_words as u64 - WORDS_PER_LINE) * WORD_BYTES;
+        s.nt_store(0, last + 56, 5);
+        assert_eq!(s.nt_load(1, last + 56).0, 5);
+        s.tx_begin(1, 1);
+        s.tx_store(1, last, 6, 0x100).0.unwrap();
+        s.tx_commit(1).0.unwrap();
+        assert_eq!(s.host_load(last), 6);
+        assert!(s.owners_empty());
+    }
+
+    // `small()` memory is 1 << 18 words = 0x200000 bytes: the first line
+    // past the end starts at 0x200000.
+    #[test]
+    #[should_panic(expected = "simulated address 0x200000 out of range")]
+    fn word_read_past_the_end_panics() {
+        state(1).host_load(0x20_0000);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated address 0x200000 out of range")]
+    fn nt_access_past_the_end_panics_like_a_word_read() {
+        state(1).nt_load(0, 0x20_0000);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated address 0x200000 out of range")]
+    fn tx_access_past_the_end_panics_like_a_word_read() {
+        let mut s = state(1);
+        s.tx_begin(0, 1);
+        let _ = s.tx_load(0, 0x20_0000, 0x100);
+    }
+
+    #[test]
+    #[should_panic(expected = "mem_words must be a positive multiple of 8")]
+    fn partial_line_memory_is_rejected() {
+        let mut cfg = MachineConfig::cores(1).small();
+        cfg.mem_words += 3;
+        let _ = SimState::new(cfg);
+    }
+
+    /// Checks the presence invariant on every line in `lines`: `cached` is
+    /// exactly the set of cores holding the line in their L1 or L2.
+    fn assert_presence_exact(s: &SimState, lines: &[u64], ctx: &str) {
+        for &l in lines {
+            let want: Vec<usize> = (0..s.cores.len())
+                .filter(|&c| s.cores[c].l1.contains(l) || s.cores[c].l2.contains(l))
+                .collect();
+            let got: Vec<usize> = s.dir.get(l).cached.iter().collect();
+            assert_eq!(got, want, "{ctx}: presence set of line {l:#x}");
+        }
+    }
+
+    #[test]
+    fn presence_set_tracks_private_caches_exactly() {
+        // Seeded random mixes of transactional and nontransactional
+        // operations on a tiny cache geometry (2-way L1 and 3-way L2 over
+        // two sets each, 12 lines in play), so fills evict from both
+        // levels, transactions overflow the L1 (capacity aborts), remote
+        // requesters doom them, and nontransactional accesses into a set
+        // full of speculative lines bypass the L1. 65 and 256 cores cover
+        // the multi-word CoreSet path.
+        use stagger_prng::Xoshiro256StarStar;
+        const LINES: u64 = 12;
+        let mut bypasses = 0u64;
+        for (n, protocol) in [
+            (1, HtmProtocol::Eager),
+            (16, HtmProtocol::Eager),
+            (16, HtmProtocol::Lazy),
+            (65, HtmProtocol::Eager),
+            (256, HtmProtocol::Eager),
+            (256, HtmProtocol::Lazy),
+        ] {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0x9E5E_0000 + n as u64);
+            let mut cfg = MachineConfig::cores(n).small();
+            cfg.protocol = protocol;
+            cfg.l1_sets = 2;
+            cfg.l1_ways = 2;
+            cfg.l2_sets = 2;
+            cfg.l2_ways = 3;
+            cfg.l3_sets = 2;
+            cfg.l3_ways = 4;
+            let mut s = SimState::new(cfg);
+            let base = s.host_alloc(LINES * WORDS_PER_LINE, true);
+            let lines: Vec<u64> = (0..LINES).map(|i| line_of(base) + i).collect();
+            // Cores biased towards a few, so transactions grow long enough
+            // to overflow and to be doomed by their neighbours.
+            let active = n.min(6);
+            for step in 0..6000 {
+                let tid = if rng.below(4) == 0 {
+                    rng.below(n as u64) as usize
+                } else {
+                    rng.below(active as u64) as usize
+                };
+                let addr = base + rng.below(LINES) * LINE_BYTES + rng.below(8) * WORD_BYTES;
+                let line = line_of(addr);
+                let in_tx = s.tx_active(tid);
+                let own_spec = s.cores[tid]
+                    .tx
+                    .as_ref()
+                    .is_some_and(|t| t.spec_contains(line));
+                let ctx = format!("{n} cores {protocol:?} step {step} core {tid}");
+                let mut ended = false;
+                let nt_write_ok = !own_spec; // never NT-write an own speculative line
+                match (in_tx, rng.below(10)) {
+                    // Outside a transaction.
+                    (false, 0..=3) => {
+                        s.tx_begin(tid, 1);
+                    }
+                    (false, 4..=6) => {
+                        s.nt_store(tid, addr, step);
+                    }
+                    (false, 8) => {
+                        s.plain_load(tid, addr);
+                    }
+                    // Inside one.
+                    (true, 0..=2) => ended = s.tx_load(tid, addr, 0x100).0.is_err(),
+                    (true, 3..=4) => ended = s.tx_store(tid, addr, step, 0x104).0.is_err(),
+                    (true, 5) => {
+                        let _ = s.tx_commit(tid);
+                        ended = true;
+                    }
+                    (true, 6) => {
+                        let _ = s.self_abort(tid, AbortCause::Explicit);
+                        ended = true;
+                    }
+                    (true, 8) if nt_write_ok => {
+                        s.nt_store(tid, addr, step);
+                    }
+                    // Either.
+                    (_, 9) if nt_write_ok => {
+                        let old = s.host_load(addr);
+                        s.nt_cas(tid, addr, old, step);
+                    }
+                    _ => {
+                        let pinned_full = in_tx && !s.cores[tid].l1.contains(line);
+                        s.nt_load(tid, addr);
+                        if pinned_full && !s.cores[tid].l1.contains(line) {
+                            bypasses += 1;
+                        }
+                    }
+                }
+                assert_presence_exact(&s, &lines, &ctx);
+                if ended {
+                    assert!(!s.tx_active(tid), "{ctx}: transaction still active");
+                    for &l in &lines {
+                        let o = s.dir.get(l).owners;
+                        assert!(
+                            !o.readers.contains(tid) && !o.writers.contains(tid),
+                            "{ctx}: ended transaction still owns line {l:#x}"
+                        );
+                    }
+                }
+                if (0..n).all(|c| s.cores[c].tx.as_ref().is_none_or(|t| t.rolled_back)) {
+                    assert!(
+                        s.owners_empty(),
+                        "{ctx}: owners left with no live transaction"
+                    );
+                }
+            }
+            // Drain every open transaction; the directory then holds no
+            // owner at all.
+            for tid in 0..n {
+                if s.tx_active(tid) {
+                    let _ = s.tx_commit(tid);
+                }
+            }
+            assert!(
+                s.owners_empty(),
+                "{n} cores {protocol:?}: owners left at the end"
+            );
+            assert_presence_exact(&s, &lines, "drained");
+            let st: Vec<_> = s.cores.iter().map(|c| c.stats.clone()).collect();
+            if n > 1 {
+                assert!(
+                    st.iter().any(|c| c.conflict_aborts > 0),
+                    "{n}: no remote doom"
+                );
+            }
+            assert!(
+                st.iter().any(|c| c.capacity_aborts > 0),
+                "{n}: no capacity abort"
+            );
+        }
+        assert!(bypasses > 0, "no nontransactional access bypassed the L1");
     }
 
     #[test]

@@ -25,12 +25,13 @@ use std::task::{Context, Poll, Waker};
 use crate::addr::{line_of, word_index, LINE_BYTES, WORD_BYTES};
 use crate::cache::CacheArray;
 use crate::config::{FallbackPolicy, HtmProtocol};
+use crate::directory::Owners;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::obs::ObsKind;
 use crate::sched::LazyMinHeap;
 use crate::sim::{
-    apply_op, bound_exceeded, AbortCause, AbortInfo, Doomed, Op, OpResult, Owners, SimState,
-    TxError, TxState,
+    apply_op, bound_exceeded, AbortCause, AbortInfo, Doomed, Op, OpResult, SimState, TxError,
+    TxState,
 };
 use crate::stats::SpecStats;
 
@@ -514,7 +515,7 @@ impl SpecView {
         if let Some(&o) = self.owners.get(&line) {
             return o;
         }
-        base.owners.get(line as usize).copied().unwrap_or_default()
+        base.dir.get(line).owners
     }
 
     fn owners_update(&mut self, base: &SimState, line: u64, f: impl FnOnce(&mut Owners)) {
@@ -524,12 +525,15 @@ impl SpecView {
     }
 
     /// Does some *other* core (from this view's perspective) hold `line`?
+    /// Reads the base directory's presence set minus this view's removals,
+    /// the same rule as [`SimState`]'s cache-to-cache test.
     fn other_has(&self, base: &SimState, line: u64) -> bool {
-        base.cores.iter().enumerate().any(|(i, c)| {
-            i != self.tid
-                && !self.removed.contains(&(i, line))
-                && (c.l1.contains(line) || c.l2.contains(line))
-        })
+        base.dir
+            .get(line)
+            .cached
+            .without(self.tid)
+            .iter()
+            .any(|i| !self.removed.contains(&(i, line)))
     }
 
     // -- L3 copy-on-write ---------------------------------------------------
@@ -607,11 +611,12 @@ impl SpecView {
         Ok(lat)
     }
 
+    /// Invalidate `line` in the base sharers other than this core.
+    /// `removed` is only consulted for cores in the base presence set, so
+    /// recording just those is enough.
     fn invalidate_others(&mut self, base: &SimState, line: u64) {
-        for i in 0..base.cores.len() {
-            if i != self.tid {
-                self.removed.insert((i, line));
-            }
+        for i in base.dir.get(line).cached.without(self.tid).iter() {
+            self.removed.insert((i, line));
         }
     }
 

@@ -21,8 +21,11 @@ pub struct BenchResult {
     pub n_threads: usize,
     pub out: RunOutcome,
     pub compile_stats: CompileStats,
-    /// Host wall-clock seconds spent simulating this run (setup through
-    /// validation) — the simulator's own throughput, not a paper metric.
+    /// Host wall-clock seconds spent simulating this run — the
+    /// simulator's own throughput, not a paper metric. Via
+    /// [`PreparedWorkload::run_cfg`] it spans machine construction through
+    /// teardown; via [`PreparedWorkload::run_on`], whose caller owns the
+    /// machine, setup through validation.
     pub host_secs: f64,
     /// Per-core observability event streams, taken from the machine when
     /// [`MachineConfig::record_events`] was set (empty otherwise, and
@@ -126,6 +129,9 @@ impl<'w> PreparedWorkload<'w> {
 
     /// Run with explicit machine and runtime configuration (ablations:
     /// lazy protocol, PC-tag width, lock timeouts, policy thresholds...).
+    /// The reported `host_secs` includes building and dropping the
+    /// machine, so a construction or teardown regression shows up in
+    /// every per-run throughput figure.
     ///
     /// # Panics
     /// Panics if the workload's post-run validation fails — a validation
@@ -137,11 +143,14 @@ impl<'w> PreparedWorkload<'w> {
         machine_cfg: MachineConfig,
         rt_cfg: RuntimeConfig,
     ) -> BenchResult {
+        let started = Instant::now();
         let machine = Machine::new(machine_cfg);
         let mut r = self.run_on(&machine, &rt_cfg, seed);
         if machine.config().record_events {
             r.events = machine.take_events();
         }
+        drop(machine);
+        r.host_secs = started.elapsed().as_secs_f64();
         r
     }
 
