@@ -178,6 +178,9 @@ fn main() {
             })
             .collect(),
     );
+    // Latency is derived from the event streams: a wrapped ring would
+    // silently drop requests from every percentile below.
+    ex.require_complete_events(&runs);
 
     let mut jsonl = opts.jsonl.as_ref().map(|path| {
         let f = std::fs::File::create(path)

@@ -16,7 +16,7 @@
 
 use crate::{CommonOpts, Report};
 use htm_sim::MachineConfig;
-use workloads::{PreparedWorkload, Workload};
+use workloads::{BenchResult, PreparedWorkload, Workload};
 
 /// One exhibit binary's common plumbing: its [`Report`], the parsed
 /// common flags, and the banner/header/workload-resolution helpers the
@@ -106,8 +106,72 @@ impl Exhibit {
         cfg
     }
 
+    /// Exit with status 1 when any of `runs` lost observability events to
+    /// the per-core ring bound: everything derived from a truncated stream
+    /// (latency percentiles, attribution) would be silently wrong.
+    pub fn require_complete_events(&self, runs: &[BenchResult]) {
+        if let Some(msg) = dropped_events(runs) {
+            eprintln!("{}: {msg}", self.name);
+            std::process::exit(1);
+        }
+    }
+
     /// Print the report's end-of-exhibit summary (and the `--json` dump).
     pub fn finish(&self) {
         self.report.finish();
+    }
+}
+
+/// Which of `runs` lost observability events to the per-core ring bound,
+/// as one message; `None` when every event stream is complete.
+pub fn dropped_events(runs: &[BenchResult]) -> Option<String> {
+    let lossy: Vec<String> = runs
+        .iter()
+        .filter(|r| r.out.events_dropped > 0)
+        .map(|r| {
+            format!(
+                "{} [{} x{}] dropped {}",
+                r.name,
+                r.mode.name(),
+                r.n_threads,
+                r.out.events_dropped
+            )
+        })
+        .collect();
+    (!lossy.is_empty()).then(|| {
+        format!(
+            "observability events were dropped, so derived latencies would be incomplete: {}",
+            lossy.join("; ")
+        )
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stagger_core::{Mode, RuntimeConfig};
+
+    #[test]
+    fn a_tiny_event_ring_is_reported_as_dropped_events() {
+        let w = workloads::workload_by_name("serve-flash-i8000", true).expect("registered");
+        let p = PreparedWorkload::new(w.as_ref());
+        let run = |capacity: usize| {
+            let mut cfg = MachineConfig::cores(2).small().record_events();
+            cfg.event_ring_capacity = capacity;
+            p.run_cfg(1, cfg, RuntimeConfig::with_mode(Mode::Staggered))
+        };
+        let complete = run(1 << 20);
+        assert_eq!(complete.out.events_dropped, 0);
+        assert!(dropped_events(std::slice::from_ref(&complete)).is_none());
+        let cut = run(4);
+        let kept: usize = cut.events.iter().map(|s| s.len()).sum();
+        assert_eq!(kept, 2 * 4, "each core keeps its newest 4 events");
+        let total: usize = complete.events.iter().map(|s| s.len()).sum();
+        assert_eq!(cut.out.events_dropped, (total - kept) as u64);
+        let msg = dropped_events(&[complete, cut]).expect("a truncated run is reported");
+        assert!(
+            msg.contains("serve-flash-i8000 [Staggered x2] dropped"),
+            "{msg}"
+        );
     }
 }

@@ -14,7 +14,7 @@
 //!               "sim_cycles": 1, "sim_insts": 2, "gated_ops": 1,
 //!               "spec_speculated": 0, "spec_committed": 0,
 //!               "spec_mismatches": 0, "spec_rebuilds": 0,
-//!               "sched_calls": 9, "sched_stale": 3,
+//!               "sched_calls": 9, "sched_stale": 3, "events_dropped": 0,
 //!               "host_secs": 0.5, "insts_per_sec": 4.0,
 //!               "ns_per_inst": 250000000.0,
 //!               "ns_per_gated_op": 500000000.0 }, ... ],
@@ -24,13 +24,17 @@
 //! ```
 //!
 //! `gated_ops` counts the shared-memory operations admitted through the
-//! simulator's scheduler gate; `ns_per_inst` and `ns_per_gated_op` are
+//! simulator's scheduler gate, including the lock-spin polls the
+//! cooperative driver credits to a parked spinner without resuming it
+//! (`sched_calls` counts only real resumptions); `ns_per_inst` and `ns_per_gated_op` are
 //! host nanoseconds per simulated instruction and per gated op — all
 //! scheduler-overhead observability, not paper metrics. Lock-heavy modes
 //! run more gated ops per instruction, so `ns_per_gated_op` is the fairer
 //! per-operation cost across modes. For runs made through
 //! `PreparedWorkload::run_cfg` (all but `profile`, which keeps its
 //! machine), `host_secs` spans machine construction through teardown.
+//! `events_dropped` counts observability events lost to the per-core ring
+//! bound: any latency digest of a run where it is nonzero is incomplete.
 //! The `spec_*` counters are the speculative scheduler's
 //! mis-speculation accounting (all zeros under the other schedulers), and
 //! `workers` reports per-worker utilization of the harness job pool
@@ -65,6 +69,8 @@ pub struct RunRecord {
     /// repairs (host-side observability, not simulated quantities).
     pub sched_calls: u64,
     pub sched_stale: u64,
+    /// Observability events lost to the per-core ring bound.
+    pub events_dropped: u64,
     pub host_secs: f64,
     /// Latency percentile digest, present when the run recorded
     /// observability events (simulated cycles; request-level for the
@@ -175,6 +181,7 @@ impl Report {
             spec_rebuilds: r.out.spec.rebuilds,
             sched_calls: r.out.sched.schedule_calls,
             sched_stale: r.out.sched.stale_refreshes,
+            events_dropped: r.out.events_dropped,
             host_secs: r.host_secs,
             latency,
         });
@@ -288,7 +295,7 @@ impl Report {
                  \"sim_cycles\": {}, \"sim_insts\": {}, \"gated_ops\": {}, \
                  \"spec_speculated\": {}, \"spec_committed\": {}, \
                  \"spec_mismatches\": {}, \"spec_rebuilds\": {}, \
-                 \"sched_calls\": {}, \"sched_stale\": {}, {lat}\
+                 \"sched_calls\": {}, \"sched_stale\": {}, \"events_dropped\": {}, {lat}\
                  \"host_secs\": {:.6}, \"insts_per_sec\": {:.1}, \
                  \"ns_per_inst\": {:.2}, \"ns_per_gated_op\": {:.2} }}{}\n",
                 json_str(r.workload),
@@ -303,6 +310,7 @@ impl Report {
                 r.spec_rebuilds,
                 r.sched_calls,
                 r.sched_stale,
+                r.events_dropped,
                 r.host_secs,
                 r.insts_per_sec(),
                 r.ns_per_inst(),
@@ -443,6 +451,7 @@ mod tests {
             spec_rebuilds: 1,
             sched_calls: 9,
             sched_stale: 3,
+            events_dropped: 4,
             host_secs: 2.0,
             latency: Some(LatencySummary {
                 count: 4,
@@ -467,6 +476,7 @@ mod tests {
             spec_rebuilds: 0,
             sched_calls: 0,
             sched_stale: 0,
+            events_dropped: 0,
             host_secs: 0.5,
             latency: None,
         });
@@ -483,6 +493,7 @@ mod tests {
         assert!(j.contains("\"spec_mismatches\": 1"));
         assert!(j.contains("\"sched_calls\": 9"));
         assert!(j.contains("\"sched_stale\": 3"));
+        assert!(j.contains("\"events_dropped\": 4"));
         // The latency digest appears only on the run that carried one.
         assert!(j.contains("\"lat_p999\": 300"));
         assert!(j.contains("\"lat_mean\": 200"));

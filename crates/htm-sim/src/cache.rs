@@ -49,6 +49,17 @@ impl CacheArray {
         false
     }
 
+    /// `n` consecutive hits on `line`, which must be present: the LRU
+    /// state ends exactly as after `n` calls to [`Self::touch`] (a parked
+    /// spinner's credited polls).
+    pub(crate) fn touch_n(&mut self, line: u64, n: u64) {
+        if n > 0 {
+            self.stamp += n - 1;
+            let hit = self.touch(line);
+            debug_assert!(hit, "credited hits on an absent line");
+        }
+    }
+
     /// Insert `line`, evicting the LRU way if the set is full; `pinned`
     /// lines (a transaction's speculative footprint) are never chosen as
     /// victims. Returns `Err(())` if every way is pinned — a speculative

@@ -72,6 +72,15 @@ impl CoreSet {
         self
     }
 
+    /// Set intersection — the parked sharers of a written line.
+    #[inline]
+    pub(crate) fn intersect(mut self, other: CoreSet) -> CoreSet {
+        for (w, o) in self.0.iter_mut().zip(other.0) {
+            *w &= o;
+        }
+        self
+    }
+
     /// Iterate member ids in ascending order (the doom-order contract).
     #[inline]
     pub(crate) fn iter(&self) -> CoreSetIter {

@@ -48,6 +48,7 @@ pub mod obs;
 pub mod sched;
 pub mod sim;
 pub(crate) mod spec;
+pub mod spin;
 pub mod stats;
 pub mod trace;
 
@@ -64,4 +65,5 @@ pub use obs::{
 };
 pub use sched::SchedStats;
 pub use sim::{AbortCause, AbortInfo, TraceEvent, TraceKind, TxError};
+pub use spin::{Spin, SpinExit, SpinUntil};
 pub use stats::{CoreStats, SimStats, SpecStats};

@@ -17,7 +17,11 @@
 //!   finishes or stops being the minimum. No OS threads per core, no
 //!   condvar handoffs; the per-op cost is one uncontended mutex
 //!   acquisition, and a core that stays minimal executes arbitrarily many
-//!   consecutive ops in one resumption.
+//!   consecutive ops in one resumption. A core whose lock spin loop
+//!   ([`Core::spin`]) reaches a steady iteration *parks* instead: it is not
+//!   resumed again until a write to its lock line or its loop's timeout,
+//!   and its polls in between are credited arithmetically (see
+//!   [`crate::spin`]).
 //! * **Threaded**: one OS thread per core; a core whose gate finds it
 //!   ineligible parks on its condvar and is woken by the op that makes it
 //!   the minimum. This was the original driver; it is kept for the
@@ -44,6 +48,7 @@ use crate::spec::{
     commit_walk, spec_poll, with_base, FutCell, NgKind, NgValue, SpecMode, SpecSlot, SpecView,
     TaskCtl, WalkStep,
 };
+use crate::spin::{Spin, SpinExit, SpinLoop, Step};
 use crate::stats::{SimStats, SpecStats};
 use std::future::Future;
 use std::pin::Pin;
@@ -103,7 +108,8 @@ where
 /// How a [`Core`]'s gates reach the simulator state.
 enum Drive {
     /// Cooperative event loop: eligibility is one comparison against the
-    /// cached [`SimState::horizon`] pair; nobody parks, nobody is woken.
+    /// cached [`SimState::horizon`] pair; no thread sleeps. A steady lock
+    /// spinner parks ([`Core::spin`]) until a write to its line wakes it.
     Coop,
     /// Thread-per-core: ineligible gates park on a condvar and are woken by
     /// whichever op makes them the minimum.
@@ -215,13 +221,24 @@ impl Machine {
             if ready {
                 programs[n] = None;
             }
-            next = self.shared.lock().schedule();
-            if !ready && next == Some(n) {
+            let mut st = self.shared.lock();
+            let parked = st.parked.contains(n);
+            next = st.schedule();
+            if !ready && !parked && next == Some(n) {
                 // A gate never suspends while its core is eligible, so a
-                // pending program that is still the minimum awaited some
-                // foreign future — which this executor cannot wake.
+                // pending program that is still the minimum (and did not
+                // just park) awaited some foreign future — which this
+                // executor cannot wake.
                 panic!("core {n} suspended while eligible: body awaited a non-gate future");
             }
+        }
+        let st = self.shared.lock();
+        if !st.parked.is_empty() {
+            // Every live core is parked with no deadline: no live core can
+            // write their lock lines, and stepping them would spin forever.
+            let msg = st.deadlock_report();
+            drop(st);
+            panic!("{msg}");
         }
     }
 
@@ -584,6 +601,19 @@ impl Machine {
             .collect()
     }
 
+    /// Observability events lost so far to the per-core ring bound
+    /// ([`MachineConfig::event_ring_capacity`]), summed over cores — zero
+    /// means [`Machine::take_events`] returns complete streams. Read it
+    /// before `take_events`, which starts fresh rings.
+    pub fn events_dropped(&self) -> u64 {
+        self.shared
+            .lock()
+            .cores
+            .iter()
+            .map(|c| c.events.dropped())
+            .sum()
+    }
+
     /// Host-side allocation for setup (no simulated cycles).
     pub fn host_alloc(&self, words: u64, line_align: bool) -> Addr {
         self.shared.lock().host_alloc(words, line_align)
@@ -668,9 +698,23 @@ impl<'m> Core<'m> {
     /// inlines straight into the gate with no enum dispatch. Each poll
     /// folds pending compute cycles (idempotent — they reset to zero) and
     /// either runs the op, if this core is the minimum, or suspends after
-    /// waking an eligible parked core (threaded driver only; cooperative
-    /// cores never park, so no notification syscall is issued there).
+    /// waking an eligible core asleep on its condvar (threaded driver only;
+    /// cooperative cores never sleep, so no notification syscall is issued
+    /// there).
     fn gate<'a, R, F>(&'a mut self, f: F) -> impl Future<Output = R> + Send + use<'a, 'm, R, F>
+    where
+        F: FnOnce(&mut SimState, usize) -> (R, u64) + Send + 'a,
+    {
+        self.gate_or_park::<false, R, F>(f)
+    }
+
+    /// [`Core::gate`], except that with `PARK` a cooperative core first
+    /// tries to park its steady spin loop ([`SimState::try_park`]) and
+    /// suspends without running the op if it did.
+    fn gate_or_park<'a, const PARK: bool, R, F>(
+        &'a mut self,
+        f: F,
+    ) -> impl Future<Output = R> + Send + use<'a, 'm, PARK, R, F>
     where
         F: FnOnce(&mut SimState, usize) -> (R, u64) + Send + 'a,
     {
@@ -682,10 +726,14 @@ impl<'m> Core<'m> {
             self.pending = 0;
             match self.drive {
                 Drive::Coop => {
+                    if PARK && st.try_park(tid) {
+                        return Poll::Pending;
+                    }
                     // Only this core's clock can have moved since the event
                     // loop resumed it, so eligibility is one comparison
-                    // against the cached runner-up; no core ever parks, so
-                    // there is nobody to wake on either side of the op.
+                    // against the cached runner-up (lowered by any spinner
+                    // the resumed core wakes); no condvar sleeps, so there
+                    // is nobody to notify on either side of the op.
                     if (st.cores[tid].clock, tid) > st.horizon {
                         return Poll::Pending;
                     }
@@ -921,6 +969,35 @@ impl<'m> Core<'m> {
         }
     }
 
+    /// Run a nontransactional spin loop on one lock word until it claims
+    /// the word, finds it free, or times out (see [`crate::spin`]): the one
+    /// polling primitive behind advisory locks, the global fallback lock
+    /// and hybrid-TM stripes. Every poll is a gated op with the latency,
+    /// counters and cache effects of the equivalent [`Core::nt_cas`],
+    /// [`Core::nt_load`] or [`Core::nt_store`], and each failed poll is
+    /// followed by `quantum` compute cycles and a gated op that adds them
+    /// to the core's `lock_wait_cycles`. Under the cooperative driver,
+    /// steady polls are credited while the core is parked instead of being
+    /// resumed one by one.
+    pub async fn spin(&mut self, spin: Spin) -> SpinExit {
+        if self.is_spec() {
+            let mut sl = SpinLoop::new(spin);
+            loop {
+                let r = self.gate_op(sl.op()).await;
+                match sl.advance(r) {
+                    Step::Next { pre } => self.compute(pre),
+                    Step::Done(exit) => return exit,
+                }
+            }
+        }
+        loop {
+            let step = self.gate_or_park::<true, _, _>(move |st, tid| st.spin_step(tid, spin));
+            if let Some(exit) = step.await {
+                return exit;
+            }
+        }
+    }
+
     // ----- services ---------------------------------------------------------
 
     /// Allocate `words` from this core's arena.
@@ -932,21 +1009,6 @@ impl<'m> Core<'m> {
             }
         } else {
             self.gate(|st, tid| st.alloc(tid, words, line_align)).await
-        }
-    }
-
-    /// Charge advisory-lock wait cycles (runtime bookkeeping: advances the
-    /// clock like `compute` and records the amount in the core's stats).
-    pub async fn charge_lock_wait(&mut self, cycles: u64) {
-        self.compute(cycles);
-        if self.is_spec() {
-            Self::expect_unit(self.gate_op(Op::LockWait { cycles }).await)
-        } else {
-            self.gate(move |st, tid| {
-                st.cores[tid].stats.lock_wait_cycles += cycles;
-                ((), 0)
-            })
-            .await
         }
     }
 
@@ -1247,6 +1309,56 @@ mod tests {
     }
 
     #[test]
+    fn parked_spinners_leave_identical_core_state() {
+        // Three spinners wait on a word that core 0 holds for a long
+        // stretch: under the cooperative driver they park, and the write
+        // that releases them credits their polls. Clocks, counters and each
+        // core's LRU stamp counters must match the drivers that step every
+        // poll (the speculative machine's `run` steps through the
+        // cooperative fallback, so it runs its factories here).
+        let state = |m: &Machine| {
+            let st = m.shared.lock();
+            let cores: Vec<_> = st
+                .cores
+                .iter()
+                .map(|c| (c.clock, c.l1.stamp(), c.l2.stamp()))
+                .collect();
+            (
+                cores,
+                st.cores.iter().map(|c| c.stats.clone()).collect::<Vec<_>>(),
+            )
+        };
+        let mut runs = Vec::new();
+        for m in machines(4) {
+            let word = m.host_alloc(8, true);
+            m.run_uniform(move |mut c| async move {
+                let me = c.tid() as u64 + 1;
+                if c.tid() == 0 {
+                    assert!(c.nt_cas(word, 0, me).await);
+                    c.compute(20_000);
+                    c.nt_store(word, 0).await;
+                    return;
+                }
+                c.compute(10 * me);
+                let until = crate::spin::SpinUntil::Claimed { me };
+                c.spin(Spin {
+                    word,
+                    until,
+                    quantum: 30,
+                })
+                .await;
+                c.compute(100);
+                c.nt_store(word, 0).await;
+            });
+            assert_eq!(m.host_load(word), 0);
+            runs.push((state(&m), m.stats()));
+        }
+        assert!(runs[0].1.aggregate().lock_wait_cycles > 20_000);
+        assert_eq!(runs[0], runs[1], "cooperative vs threaded");
+        assert_eq!(runs[0], runs[2], "cooperative vs speculative");
+    }
+
+    #[test]
     fn nt_cas_lock_mutual_exclusion() {
         // An advisory-lock-style spinlock built from NT CAS protects a
         // plain (nontransactional) counter.
@@ -1279,15 +1391,19 @@ mod tests {
                 for _ in 0..20 {
                     loop {
                         c.tx_begin(0).await;
-                        // Advisory lock acquire via NT CAS, inside the txn.
-                        let mut spins = 0u64;
-                        while !c.nt_cas(lock, 0, (c.tid() + 1) as u64).await {
-                            c.charge_lock_wait(30).await;
-                            spins += 1;
-                            if spins > 10_000 {
-                                break; // timeout: proceed without the lock
-                            }
-                        }
+                        // Advisory lock acquire via NT CAS, inside the txn;
+                        // on timeout, proceed without the lock.
+                        let me = (c.tid() + 1) as u64;
+                        let until = crate::spin::SpinUntil::ClaimedWithin {
+                            me,
+                            timeout: 300_000,
+                        };
+                        c.spin(Spin {
+                            word: lock,
+                            until,
+                            quantum: 30,
+                        })
+                        .await;
                         let r = match c.tx_load(data, 0x100).await {
                             Ok(v) => {
                                 c.compute(30);

@@ -13,6 +13,7 @@ use crate::coreset::{CoreSet, MAX_CORES};
 use crate::directory::{LineDirectory, Owners};
 use crate::obs::{EventRing, ObsEvent, ObsKind};
 use crate::sched::{LazyMinHeap, SchedStats};
+use crate::spin::{Phase, Spin, SpinExit, SpinLoop, Step};
 use crate::stats::CoreStats;
 
 /// Why a transaction aborted.
@@ -289,6 +290,17 @@ pub(crate) struct CoreState {
     pub(crate) arena_end: Addr,
     pub trace: Vec<TraceEvent>,
     pub events: EventRing,
+    /// The spin loop this core is running, if any (cooperative and
+    /// threaded drivers; the speculative driver keeps it in the program).
+    pub(crate) spin: Option<SpinLoop>,
+}
+
+impl CoreState {
+    /// The scheduler key of a parked core: the clock of its spin loop's
+    /// timeout iteration, `None` when it can only be woken by a write.
+    fn park_deadline(&self) -> Option<u64> {
+        self.spin.as_ref().and_then(|s| s.park?.deadline)
+    }
 }
 
 /// Everything under the machine mutex.
@@ -324,6 +336,10 @@ pub(crate) struct SimState {
     pub(crate) sched: LazyMinHeap,
     /// Host-side scheduling-overhead counters (never simulated state).
     pub sched_stats: SchedStats,
+    /// Cores parked in a steady spin loop (cooperative driver only). A
+    /// parked core is not resumed; its heap key is its loop's deadline, or
+    /// none. A write to its lock line catches it up and wakes it.
+    pub(crate) parked: CoreSet,
 }
 
 /// First heap address — 0 stays an invalid ("null") address.
@@ -356,6 +372,7 @@ impl SimState {
                 arena_end: 0,
                 trace: Vec::new(),
                 events: EventRing::new(cfg.event_ring_capacity),
+                spin: None,
             })
             .collect();
         SimState {
@@ -373,6 +390,7 @@ impl SimState {
             commit_lock_addr: None,
             sched: LazyMinHeap::new(cfg.n_cores),
             sched_stats: SchedStats::default(),
+            parked: CoreSet::EMPTY,
             cfg,
         }
     }
@@ -401,36 +419,169 @@ impl SimState {
     /// Backed by the lazy min-heap in [`SimState::sched`]: O(log n_cores)
     /// amortized per call instead of a linear scan, with identical
     /// (clock, id) ordering — ties by id, including at clock `u64::MAX`.
+    ///
+    /// A parked spinner is keyed by its loop's deadline (or not at all);
+    /// when that deadline is the minimum, its steady polls up to the
+    /// deadline are credited here and it resumes at its timeout iteration.
+    /// `None` with cores still parked means no live core can ever write
+    /// their lock lines (see [`SimState::deadlock_report`]).
     pub fn schedule(&mut self) -> Option<usize> {
         self.sched_stats.schedule_calls += 1;
         let cores = &self.cores;
+        let parked = self.parked;
         let key_of = |i: usize| {
             let c = &cores[i];
-            (!c.finished).then_some(c.clock)
+            if c.finished {
+                None
+            } else if parked.contains(i) {
+                c.park_deadline()
+            } else {
+                Some(c.clock)
+            }
         };
         let (best, second) = self.sched.min2(key_of);
         self.sched_stats.stale_refreshes = self.sched.stale_refreshes;
         self.horizon = second;
+        if let Some(n) = best.filter(|&n| self.parked.contains(n)) {
+            let deadline = self.cores[n]
+                .park_deadline()
+                .expect("a keyed parked core has a deadline");
+            self.unpark(n, deadline);
+        }
         best
+    }
+
+    // ----- spin loops ---------------------------------------------------
+
+    /// Issue the next sub-op of `tid`'s spin loop, starting `spin` when
+    /// none is running. Returns the loop's exit once it ends. The compute
+    /// cycles that precede the next sub-op (the wait quantum) are charged
+    /// with this one's latency, so the core's clock is always the key of
+    /// its next sub-op — the same key `compute` + gate would give it.
+    pub(crate) fn spin_step(&mut self, tid: usize, spin: Spin) -> (Option<SpinExit>, u64) {
+        let mut sl = self.cores[tid]
+            .spin
+            .take()
+            .unwrap_or_else(|| SpinLoop::new(spin));
+        let (r, lat) = apply_op(self, tid, &sl.op());
+        match sl.advance(r) {
+            Step::Next { pre } => {
+                self.cores[tid].spin = Some(sl);
+                (None, lat + pre)
+            }
+            Step::Done(exit) => (Some(exit), lat),
+        }
+    }
+
+    /// Park `tid` if its spin loop stands at the top of a *steady*
+    /// iteration: the lock line is in its L1 and outside its speculative
+    /// footprint, and the poll would fail (the word is nonzero) without
+    /// storing (an advisory lock's contended flag is already set). Every
+    /// later iteration is then steady too until someone writes the line,
+    /// which [`SimState::wake_parked`] intercepts.
+    pub(crate) fn try_park(&mut self, tid: usize) -> bool {
+        let core = &self.cores[tid];
+        let Some(sl) = core.spin.as_ref().filter(|s| s.phase == Phase::Poll) else {
+            return false;
+        };
+        let word = sl.spin.word;
+        let line = line_of(word);
+        let steady = core.l1.contains(line)
+            && core.tx.as_ref().is_none_or(|t| !t.spec_contains(line))
+            && self.read_word(word) != 0
+            && (sl.polls_per_iter() == 1 || self.read_word(word + 8) != 0);
+        let clock = core.clock;
+        let l1_latency = self.cfg.l1_latency;
+        let sl = self.cores[tid].spin.as_mut().expect("checked above");
+        if steady && sl.park(clock, l1_latency) {
+            self.parked.insert(tid);
+            return true;
+        }
+        false
+    }
+
+    /// End `tid`'s park: credit the steady sub-ops it issued at clocks
+    /// below `t` (clock, counters, L1 stamp, `waited`) and leave it at the
+    /// next one.
+    fn unpark(&mut self, tid: usize, t: u64) {
+        let l1_latency = self.cfg.l1_latency;
+        let core = &mut self.cores[tid];
+        let sl = core.spin.as_mut().expect("a parked core runs a spin loop");
+        let line = line_of(sl.spin.word);
+        let c = sl.catch_up(t, l1_latency);
+        core.clock = c.clock;
+        core.stats.gated_ops += c.ops;
+        core.stats.nt_mem_ops += c.polls;
+        core.stats.lock_wait_cycles += c.waited;
+        core.l1.touch_n(line, c.polls);
+        self.parked.remove(tid);
+    }
+
+    /// Core `writer`'s current op is about to write `line` or drop other
+    /// cores' copies of it: wake every spinner parked on the line, crediting
+    /// the polls whose `(clock, id)` precedes the writer's, and lower their
+    /// scheduler keys (and the running core's horizon) to their next
+    /// sub-op. A parked spinner holds its line in L1, so only the line's
+    /// sharers are candidates.
+    fn wake_parked(&mut self, writer: usize, line: u64) {
+        let wc = self.cores[writer].clock;
+        let candidates = self.dir.get(line).cached.intersect(self.parked);
+        for c in candidates.iter() {
+            let spinning_here = self.cores[c]
+                .spin
+                .as_ref()
+                .is_some_and(|s| line_of(s.spin.word) == line);
+            if !spinning_here {
+                continue;
+            }
+            self.unpark(c, wc.saturating_add((c < writer) as u64));
+            let clock = self.cores[c].clock;
+            self.sched.lower(c, clock);
+            self.horizon = self.horizon.min((clock, c));
+        }
+    }
+
+    /// The message for a run in which every live core is parked with no
+    /// deadline: nothing can ever write their lock lines.
+    pub(crate) fn deadlock_report(&self) -> String {
+        let spinners: Vec<String> = self
+            .parked
+            .iter()
+            .map(|c| {
+                let word = self.cores[c].spin.as_ref().map_or(0, |s| s.spin.word);
+                format!("core {c} on word {word:#x} (line {:#x})", line_of(word))
+            })
+            .collect();
+        format!(
+            "deadlock: every live core spins on a lock line no live core will write: {}",
+            spinners.join(", ")
+        )
     }
 
     // ----- memory & caches ----------------------------------------------
 
-    fn read_word(&self, addr: Addr) -> u64 {
+    /// Index of `addr`'s word in `mem`; panics on out-of-range addresses.
+    fn word_slot(&self, addr: Addr) -> usize {
         let i = word_index(addr);
         assert!(
             i < self.mem.len(),
             "simulated address {addr:#x} out of range"
         );
-        self.mem[i]
+        i
     }
 
-    fn write_word(&mut self, addr: Addr, val: u64) {
-        let i = word_index(addr);
-        assert!(
-            i < self.mem.len(),
-            "simulated address {addr:#x} out of range"
-        );
+    fn read_word(&self, addr: Addr) -> u64 {
+        self.mem[self.word_slot(addr)]
+    }
+
+    /// Store `val` at `addr` as part of core `writer`'s current op. A
+    /// spinner parked on the line is caught up first: its polls before the
+    /// write's `(clock, id)` saw the old value.
+    fn write_word(&mut self, writer: usize, addr: Addr, val: u64) {
+        let i = self.word_slot(addr);
+        if !self.parked.is_empty() {
+            self.wake_parked(writer, line_of(addr));
+        }
         self.mem[i] = val;
     }
 
@@ -507,6 +658,9 @@ impl SimState {
     /// Invalidate `line` in every core except `tid` (a write took exclusive
     /// ownership). Visits only the line's sharers.
     fn invalidate_others(&mut self, tid: usize, line: u64) {
+        if !self.parked.is_empty() {
+            self.wake_parked(tid, line);
+        }
         let cached = &mut self.dir.get_mut(line).cached;
         let sharers = cached.without(tid);
         let keep = cached.contains(tid);
@@ -598,7 +752,7 @@ impl SimState {
             aborter_pc_tag: (req_pc & pc_mask) as u16,
         });
         for &(addr, old) in undo.iter().rev() {
-            self.write_word(addr, old);
+            self.write_word(requester, addr, old);
         }
         // The victim's cached copies of its speculatively-written lines are
         // stale after rollback: invalidate them, so the retry pays refill
@@ -815,7 +969,7 @@ impl SimState {
                 // effects, in the same order, as the slow path below.
                 let old = self.read_word(addr);
                 self.cores[tid].tx.as_mut().unwrap().undo.push((addr, old));
-                self.write_word(addr, val);
+                self.write_word(tid, addr, val);
                 self.invalidate_others(tid, line);
             }
             return (Ok(()), self.cfg.l1_latency);
@@ -840,7 +994,7 @@ impl SimState {
                 if eager {
                     // In place, undo-logged, exclusive.
                     tx.undo.push((addr, old));
-                    self.write_word(addr, val);
+                    self.write_word(tid, addr, val);
                     self.invalidate_others(tid, line);
                 } else {
                     // Private buffer; published at commit.
@@ -855,9 +1009,23 @@ impl SimState {
     /// Self-initiated abort (capacity, or explicit from the runtime).
     /// Rolls back, releases ownership, accounts the attempt as wasted.
     pub fn self_abort(&mut self, tid: usize, cause: AbortCause) -> TxError {
+        let tx = self.cores[tid]
+            .tx
+            .take()
+            .expect("self_abort without transaction");
+        // Roll back before charging the abort cost, so the rollback's
+        // writes carry the op's admission clock (`write_word`).
+        if !tx.rolled_back {
+            for &(addr, old) in tx.undo.iter().rev() {
+                self.write_word(tid, addr, old);
+            }
+            for e in tx.lines.iter().filter(|e| e.written) {
+                self.evict_own(tid, e.line);
+            }
+            self.release_ownership(tid, &tx.lines);
+        }
         let abort_cost = self.cfg.tx_abort_cost;
         let core = &mut self.cores[tid];
-        let tx = core.tx.take().expect("self_abort without transaction");
         core.clock += abort_cost;
         core.stats.wasted_tx_cycles += core.clock.saturating_sub(tx.start_clock);
         match cause {
@@ -866,16 +1034,7 @@ impl SimState {
             AbortCause::SubscriptionValidation => core.stats.subscription_aborts += 1,
             AbortCause::Conflict => unreachable!("conflict aborts come from doom()"),
         }
-        if !tx.rolled_back {
-            for &(addr, old) in tx.undo.iter().rev() {
-                self.write_word(addr, old);
-            }
-            for e in tx.lines.iter().filter(|e| e.written) {
-                self.evict_own(tid, e.line);
-            }
-            self.release_ownership(tid, &tx.lines);
-        }
-        self.cores[tid].spare_tx = Some(tx);
+        core.spare_tx = Some(tx);
         self.record(tid, TraceKind::Abort);
         self.note(
             tid,
@@ -929,7 +1088,7 @@ impl SimState {
             }
             commit_cost += tx.write_buffer.len() as u64; // write-back bandwidth
             for &(addr, val) in &tx.write_buffer {
-                self.write_word(addr, val);
+                self.write_word(tid, addr, val);
             }
             for e in tx.lines.iter().filter(|e| e.written) {
                 self.invalidate_others(tid, e.line);
@@ -994,7 +1153,7 @@ impl SimState {
             .touch_caches(tid, line, false)
             .expect("nontransactional fills cannot overflow");
         self.cores[tid].stats.nt_mem_ops += 1;
-        self.write_word(addr, val);
+        self.write_word(tid, addr, val);
         self.invalidate_others(tid, line);
         lat
     }
@@ -1008,7 +1167,7 @@ impl SimState {
             self.resolve_conflicts(tid, addr, true, 0);
             let lat = self.touch_caches(tid, line, false).unwrap();
             self.cores[tid].stats.nt_mem_ops += 1;
-            self.write_word(addr, new);
+            self.write_word(tid, addr, new);
             self.invalidate_others(tid, line);
             (true, lat)
         } else {
@@ -1076,7 +1235,8 @@ impl SimState {
     /// Host-side write (no cycles, no coherence effects). Only sound while
     /// no simulated threads run.
     pub fn host_store(&mut self, addr: Addr, val: u64) {
-        self.write_word(addr, val);
+        let i = self.word_slot(addr);
+        self.mem[i] = val;
     }
 }
 
@@ -1249,24 +1409,38 @@ mod tests {
 
     #[test]
     fn indexed_schedule_matches_linear_reference() {
-        // Property test: under random monotone clock advances (including
-        // jumps to u64::MAX) and random retirements, the heap-backed
-        // `schedule()` must pick the identical (core, horizon) pair as a
-        // linear-scan reference at every step.
+        // Property test: under random clock advances (including jumps to
+        // u64::MAX), retirements, spinners parking with and without a
+        // deadline, and writes that wake them (the heap's key decreases),
+        // the heap-backed `schedule()` must pick the identical (core,
+        // horizon) pair as a linear-scan reference at every step. The
+        // reference keys a parked core by its deadline, or leaves it out.
+        use crate::spin::SpinUntil;
         use stagger_prng::Xoshiro256StarStar;
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xC0DE_2015);
+        let l1 = MachineConfig::cores(1).l1_latency;
+        let mut decreases = 0;
         for trial in 0..40u64 {
             let n = 1 + rng.below(80) as usize;
             let mut s = state(n);
+            let word = s.host_alloc(8, true);
+            let line = line_of(word);
+            s.host_store(word, 1);
+            s.host_store(word + 8, 1);
             for step in 0..200u64 {
                 // Reference: one linear pass computing best + runner-up.
                 let mut ref_best: Option<(u64, usize)> = None;
                 let mut ref_second = (u64::MAX, usize::MAX);
                 for (i, c) in s.cores.iter().enumerate() {
-                    if c.finished {
-                        continue;
-                    }
-                    let k = (c.clock, i);
+                    let key = if c.finished {
+                        None
+                    } else if s.parked.contains(i) {
+                        c.park_deadline()
+                    } else {
+                        Some(c.clock)
+                    };
+                    let Some(clock) = key else { continue };
+                    let k = (clock, i);
                     match ref_best {
                         None => ref_best = Some(k),
                         Some(b) if k < b => {
@@ -1290,20 +1464,68 @@ mod tests {
                     s.horizon, ref_second,
                     "trial {trial} step {step}: horizon diverged"
                 );
+                if let Some((clock, i)) = ref_best {
+                    assert!(!s.parked.contains(i), "a scheduled core is unparked");
+                    assert_eq!(s.cores[i].clock, clock, "resumed at its deadline");
+                    s.cores[i].spin = None;
+                }
                 if got.is_none() {
                     break;
                 }
-                // Mutate: monotone clock advances on a few random cores
-                // (the heap's soundness precondition), occasionally a jump
-                // straight to u64::MAX, occasionally a retirement.
+                // Mutate a few random cores.
                 for _ in 0..1 + rng.below(3) {
                     let i = rng.below(n as u64) as usize;
                     if s.cores[i].finished {
                         continue;
                     }
-                    match rng.below(12) {
+                    if s.parked.contains(i) {
+                        // A write by a random live core wakes every spinner
+                        // parked on the line (only when it precedes their
+                        // deadlines, as the driver guarantees).
+                        let w = rng.below(n as u64) as usize;
+                        let first_deadline = s
+                            .parked
+                            .iter()
+                            .filter_map(|c| s.cores[c].park_deadline())
+                            .min()
+                            .unwrap_or(u64::MAX);
+                        if !s.parked.contains(w)
+                            && !s.cores[w].finished
+                            && s.cores[w].clock < first_deadline
+                        {
+                            let before = s.parked;
+                            s.wake_parked(w, line);
+                            decreases += before.iter().count();
+                            assert!(s.parked.is_empty());
+                        }
+                        continue;
+                    }
+                    match rng.below(14) {
                         0 => s.cores[i].finished = true,
                         1 => s.cores[i].clock = u64::MAX,
+                        2 | 3 if s.cores[i].clock < u64::MAX / 2 => {
+                            // Park on the shared line: an advisory acquire
+                            // (deadline) or a global-lock acquire (none).
+                            let until = if rng.below(2) == 0 {
+                                SpinUntil::ClaimedWithin {
+                                    me: 1,
+                                    timeout: rng.below(2_000),
+                                }
+                            } else {
+                                SpinUntil::Claimed { me: 1 }
+                            };
+                            let mut sl = SpinLoop::new(Spin {
+                                word,
+                                until,
+                                quantum: 1 + rng.below(40),
+                            });
+                            if sl.park(s.cores[i].clock, l1) {
+                                s.cores[i].l1.insert(line, |_| false).unwrap();
+                                s.dir.get_mut(line).cached.insert(i);
+                                s.cores[i].spin = Some(sl);
+                                s.parked.insert(i);
+                            }
+                        }
                         _ => {
                             let c = &mut s.cores[i];
                             c.clock = c.clock.saturating_add(rng.below(100));
@@ -1312,6 +1534,7 @@ mod tests {
                 }
             }
         }
+        assert!(decreases > 100, "only {decreases} wakes exercised");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! grows a read/write set and never causes an abort by itself.
 
 use htm_sim::obs::ObsKind;
-use htm_sim::{line_of, Addr, Core, Machine, LINE_BYTES};
+use htm_sim::{line_of, Addr, Core, Machine, Spin, SpinUntil, LINE_BYTES};
 
 /// A static, pre-allocated array of advisory locks, chosen by hashing the
 /// contended data address (paper Section 5.1, `AcquireLockFor`).
@@ -55,20 +55,14 @@ impl LockTable {
         }
     }
 
-    /// Mark a lock word as contended (a waiter spun on it). The flag lives
-    /// in the second word of the lock's line, so it costs no extra lines.
-    async fn mark_contended(core: &mut Core<'_>, word: Addr) {
-        if core.nt_load(word + 8).await == 0 {
-            core.nt_store(word + 8, 1).await;
-        }
-    }
-
     /// Acquire with spin + timeout. Returns `Some(lock word)` on success;
     /// `None` when `timeout_cycles` of waiting elapsed, in which case the
     /// caller simply proceeds without the lock (advisory semantics:
     /// correctness is the HTM's job).
     ///
-    /// Wait time is charged to the core's `lock_wait_cycles`.
+    /// Each failed poll marks the lock contended — the flag lives in the
+    /// second word of the lock's line, so it costs no extra lines — and
+    /// charges `spin_quantum` cycles to the core's `lock_wait_cycles`.
     pub async fn acquire(
         &self,
         core: &mut Core<'_>,
@@ -78,19 +72,24 @@ impl LockTable {
     ) -> Option<Addr> {
         let word = self.lock_addr_for(addr);
         let me = core.tid() as u64 + 1;
-        let mut waited = 0u64;
-        loop {
-            if core.nt_cas(word, 0, me).await {
-                core.note(ObsKind::LockAcquire { word, waited });
-                return Some(word);
-            }
-            Self::mark_contended(core, word).await;
-            if waited >= timeout_cycles {
-                core.note(ObsKind::LockTimeout { word, waited });
-                return None;
-            }
-            core.charge_lock_wait(spin_quantum).await;
-            waited += spin_quantum;
+        let until = SpinUntil::ClaimedWithin {
+            me,
+            timeout: timeout_cycles,
+        };
+        let exit = core
+            .spin(Spin {
+                word,
+                until,
+                quantum: spin_quantum,
+            })
+            .await;
+        let waited = exit.waited;
+        if exit.timed_out {
+            core.note(ObsKind::LockTimeout { word, waited });
+            None
+        } else {
+            core.note(ObsKind::LockAcquire { word, waited });
+            Some(word)
         }
     }
 
@@ -140,9 +139,12 @@ impl GlobalLock {
     /// Blocking acquire (nontransactional; used only outside transactions).
     pub async fn acquire(&self, core: &mut Core<'_>, spin_quantum: u64) {
         let me = core.tid() as u64 + 1;
-        while !core.nt_cas(self.word, 0, me).await {
-            core.charge_lock_wait(spin_quantum).await;
-        }
+        core.spin(Spin {
+            word: self.word,
+            until: SpinUntil::Claimed { me },
+            quantum: spin_quantum,
+        })
+        .await;
     }
 
     pub async fn release(&self, core: &mut Core<'_>) {
@@ -160,9 +162,12 @@ impl GlobalLock {
 
     /// Spin (nontransactionally) until the lock is free.
     pub async fn wait_until_free(&self, core: &mut Core<'_>, spin_quantum: u64) {
-        while core.nt_load(self.word).await != 0 {
-            core.charge_lock_wait(spin_quantum).await;
-        }
+        core.spin(Spin {
+            word: self.word,
+            until: SpinUntil::Free,
+            quantum: spin_quantum,
+        })
+        .await;
     }
 }
 
@@ -267,6 +272,28 @@ mod tests {
             }),
         ]);
         assert_eq!(m.host_load(data), 99);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "deadlock: every live core spins on a lock line no live core will write: core 1 on word"
+    )]
+    fn retiring_with_the_global_lock_held_is_a_loud_deadlock() {
+        // Core 0 retires holding the global lock; core 1 parks on it with no
+        // deadline, and no live core is left to release it. Stepping every
+        // poll would spin forever; the cooperative driver names the spinner.
+        let cfg = MachineConfig::cores(2)
+            .small()
+            .scheduler(htm_sim::Scheduler::Cooperative);
+        let m = Machine::new(cfg);
+        let gl = GlobalLock::new(&m);
+        m.run(vec![
+            body(move |mut c| async move { gl.acquire(&mut c, 30).await }),
+            body(move |mut c| async move {
+                c.compute(100);
+                gl.acquire(&mut c, 30).await;
+            }),
+        ]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::bytecode::{BytecodeFunc, OpCode, BIN_OPS, CMP_OPS, NO_REG};
 use crate::prepared::{Prepared, PreparedFunc};
-use htm_sim::{AbortCause, Addr, Core, FallbackPolicy, TxError};
+use htm_sim::{AbortCause, Addr, Core, FallbackPolicy, Spin, SpinUntil, TxError};
 use stagger_core::{Interp, RuntimeConfig, SharedRt, ThreadRuntime};
 use std::future::Future;
 use std::pin::Pin;
@@ -300,10 +300,12 @@ impl<'c> Executor<'c> {
         let word = stripes.lock_addr_for(addr);
         let me = core.tid() as u64 + 1;
         if core.nt_load(word).await != me {
-            let spin = self.rt.cfg.lock_spin;
-            while !core.nt_cas(word, 0, me).await {
-                core.charge_lock_wait(spin).await;
-            }
+            core.spin(Spin {
+                word,
+                until: SpinUntil::Claimed { me },
+                quantum: self.rt.cfg.lock_spin,
+            })
+            .await;
             self.sw_stripes.push(word);
         }
     }

@@ -36,6 +36,10 @@ pub struct RunOutcome {
     /// Host-side scheduling-overhead counters (indexed min-heap calls and
     /// lazy repairs). Never affects any simulated quantity.
     pub sched: SchedStats,
+    /// Observability events lost to the per-core ring bound
+    /// ([`Machine::events_dropped`]); nonzero means every stream derived
+    /// from `take_events` is truncated.
+    pub events_dropped: u64,
 }
 
 impl RunOutcome {
@@ -136,6 +140,7 @@ pub fn run_workload_prepared(
         returns,
         spec: machine.spec_stats(),
         sched: machine.sched_stats(),
+        events_dropped: machine.events_dropped(),
     }
 }
 

@@ -13,9 +13,10 @@
 # and sanity-checked, a serve smoke gating the request-latency capture's
 # byte-identity across schedulers, the lazy-subscription window
 # regression gate, per-fallback-protocol cross-scheduler identity gates,
-# a protocols-exhibit smoke over the full variant matrix, and a golden
-# gate comparing fig7 --quick and a small serve run against checked-in
-# simulated output (results/golden/).
+# a protocols-exhibit smoke over the full variant matrix, the parked-
+# spinner exactness test, and a golden gate comparing fig7 --quick, a
+# small serve run and the simulated columns of scaling --quick against
+# checked-in simulated output (results/golden/).
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies by design, and CI must not depend on a registry.
@@ -188,17 +189,28 @@ awk '$3 == "bounded-set" { c += $8 } END { exit !(c > 0) }' \
 awk '$3 == "lazy-subscription-safe" { s += $9 } END { exit !(s > 0) }' \
   results/ci_protocols.txt
 
+echo "== parked-spinner exactness (cooperative vs stepped spin polls)"
+# The cooperative driver parks steady lock spinners and credits their
+# polls arithmetically; the threaded and speculative drivers step every
+# poll. Runs as part of the workspace suite above too; the explicit
+# invocation keeps the bit-identity gate visible in CI logs.
+cargo test -q --offline -p stagger-core --test spin_parking spin_parking_matches_step_path
+
 echo "== golden simulated-output gate (results/golden/)"
 # The coop-vs-spec comparisons above cannot catch a coherence-model bug
 # that both drivers share (the line directory's presence sets feed the
 # latency model of both). Pin the simulated output itself: the quick
-# Fig. 7 table and a small serve run, with the host-timing lines
-# filtered, must match the checked-in copies byte for byte. Regenerate
-# them only for an intended change to simulated results.
+# Fig. 7 table, a small serve run, and the simulated columns of the
+# core-count ladder (16-256 contending cores, where parked spinners do
+# the most), with the host-timing lines filtered, must match the
+# checked-in copies byte for byte. Regenerate them only for an intended
+# change to simulated results.
 ./target/release/fig7 --quick | grep -v '^harness:' \
   | cmp - results/golden/fig7_quick.txt
 ./target/release/serve --quick --cores 8 --loads 24000,8000 | serve_sim \
   | cmp - results/golden/serve_quick_8.txt
+./target/release/scaling --quick --jobs 2 | sim_cols \
+  | cmp - results/golden/scaling_quick.txt
 
 echo "== sweep --quick --spec smoke (ablation-sweep cache smoke)"
 # Cold run: the two-cell smoke sweep computes both cells and populates the
